@@ -25,7 +25,7 @@ Environment knobs:
   structural equivalence class; verdicts match the uncollapsed run).
 
 Every session writes a ``BENCH_PR<N>.json`` artifact next to this file
-(name from ``REPRO_BENCH_OUTPUT``, default ``BENCH_PR9.json``):
+(name from ``REPRO_BENCH_OUTPUT``, default ``BENCH_PR12.json``):
 per-bench wall time, per-bench ``lu_factor`` deltas, and the engine's
 profiling counters (including the batched-solver counters —
 ``batched_solves``, ``batch_fill``, ``woodbury_hits``,
@@ -53,7 +53,7 @@ import pytest
 _HERE = os.path.dirname(__file__)
 #: this PR's artifact — also the anchor for the no-clobber guard: any
 #: existing BENCH_PR<N> with N below this default's is history
-_DEFAULT_OUTPUT = "BENCH_PR9.json"
+_DEFAULT_OUTPUT = "BENCH_PR12.json"
 _OUTPUT_NAME = os.environ.get("REPRO_BENCH_OUTPUT", _DEFAULT_OUTPUT)
 
 _campaign_cache = {}
@@ -150,7 +150,7 @@ def _baseline_name() -> str:
 def pytest_configure(config):
     """Refuse an output name that would clobber an older PR's artifact.
 
-    Rewriting this PR's own artifact (a rerun of ``BENCH_PR9.json`` or
+    Rewriting this PR's own artifact (a rerun of ``BENCH_PR12.json`` or
     newer) is fine; silently destroying the performance history —
     any existing ``BENCH_PR<N>`` below this PR's number — is not.
     """

@@ -20,6 +20,10 @@ summary table (CI fails on any non-OK row).  Checks:
 10. service-chaos  — SIGKILLed serve loops resume to byte-identical
                      artifacts with zero re-simulated items
                      (chaos_smoke kill matrix + stale-lease reclaim)
+11. loop-parity    — the lockstep LoopBatch reproduces every scalar
+                     LoopResult field over the BIST universe's lock
+                     runs (loop_parity_smoke), and a patterns export is
+                     byte-identical with the batch path forced off
 
 Run locally: ``python scripts/guard_suite.py`` (from the repo root).
 Select a subset: ``python scripts/guard_suite.py mc-parity pattern-parity``.
@@ -270,6 +274,32 @@ def check_service_chaos(tmp: str) -> str:
     return "kill matrix resumed byte-identical; stale lease reclaimed"
 
 
+#: ``repro patterns`` with every lock run forced onto the scalar loop
+#: (the batch threshold raised past any lane count)
+_SCALAR_PATTERNS = (
+    "import sys\n"
+    "import repro.synchronizer.batch as batch\n"
+    "from repro.cli import main\n"
+    "batch.BATCH_MIN_LANES = sys.maxsize\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def check_loop_parity(tmp: str) -> str:
+    _script("loop_parity_smoke.py", tmp)
+    args = "patterns --sample 12 --export"
+    _repro(f"{args} patterns-batched.json", cwd=tmp)
+    scalar = [sys.executable, "-c", _SCALAR_PATTERNS]
+    _run(scalar + f"{args} patterns-scalar.json".split(), cwd=tmp)
+    if _read(tmp, "patterns-batched.json") != _read(
+        tmp, "patterns-scalar.json"
+    ):
+        raise RuntimeError(
+            "patterns export differs between the batched and scalar loop"
+        )
+    return "batch == scalar on every lane; patterns export identical"
+
+
 CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("private-access", check_private_access),
     ("campaign-resume", check_campaign_resume),
@@ -281,6 +311,7 @@ CHECKS: List[Tuple[str, Callable[[str], str]]] = [
     ("pattern-parity", check_pattern_parity),
     ("service-parity", check_service_parity),
     ("service-chaos", check_service_chaos),
+    ("loop-parity", check_loop_parity),
 ]
 
 

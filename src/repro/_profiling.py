@@ -35,6 +35,10 @@ _FIELDS = (
     "newton_iterations",
     "lu_factor",             # fresh LU factorizations
     "lu_reuse",              # solves served by a cached factorization
+    # behavioural synchronizer loop (repro.synchronizer)
+    "loop_scalar_runs",      # SynchronizerLoop.run calls (the oracle)
+    "loop_lanes",            # runs advanced as lanes of a LoopBatch
+    "loop_steps",            # LoopBatch lockstep bit-period steps
     # campaign
     "campaign_faults",       # faults evaluated (serial or in a worker)
     "campaign_chunks",       # parallel work units dispatched

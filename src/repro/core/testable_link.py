@@ -44,7 +44,7 @@ from ..dft.scan_test import ScanTest
 from ..faults.campaign import FaultCampaign
 from ..faults.model import StructuralFault
 from ..synchronizer.lock import LockSweepResult, lock_sweep
-from ..synchronizer.loop import LoopResult, SynchronizerLoop
+from ..synchronizer.loop import LoopResult, SynchronizerLoop, bist_verdict
 from .config import LinkConfig
 from .results import BISTResult, CampaignSummary, DCTestResult, ScanTestResult
 
@@ -160,7 +160,7 @@ class TestableLink:
         i_ok = bool(checks.get("i_up_ok")) and bool(checks.get("i_dn_ok"))
         return BISTResult(loop=loop, vp_tracking_ok=vp_ok,
                           pump_currents_ok=i_ok,
-                          passed=loop.bist_pass and vp_ok and i_ok)
+                          passed=bist_verdict(loop) and vp_ok and i_ok)
 
     # ------------------------------------------------------------------
     # fault campaigns

@@ -28,13 +28,14 @@ stimulus-specific lock-budget stretch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..faults.behavior_map import map_fault_to_knobs
 from ..faults.inject import inject_fault
 from ..faults.model import StructuralFault
-from ..link.params import LinkParams
-from ..synchronizer.loop import SynchronizerLoop
+from ..link.params import KnotCurve, LinkParams
+from ..synchronizer.batch import LaneResults, LoopLane
+from ..synchronizer.loop import LOCK_BUDGET_S, LoopResult, bist_verdict
 from .duts import build_receiver_dut, build_vcdl_dut
 from .golden import GoldenSignatures
 from .registry import register_tier
@@ -47,7 +48,18 @@ LOCK_TEST_PHASE = 5
 #: cycles simulated by the lock test (> the 5000-cycle budget)
 LOCK_TEST_CYCLES = 7000
 #: the paper's lock-time budget [s]
-LOCK_BUDGET = 2e-6
+LOCK_BUDGET = LOCK_BUDGET_S
+
+
+def _release(circuit) -> None:
+    """Drop a finished characterisation circuit's compiled plans.
+
+    A plan references its circuit, so the pair is a reference cycle
+    that only a full garbage collection frees; back-to-back
+    characterisations (the batched at-speed prepass) would otherwise
+    pile up their solver matrices.
+    """
+    circuit.touch()
 
 
 @register_tier("bist")
@@ -78,11 +90,13 @@ class BISTTest:
     SLEW_COLLAPSE = 0.1
 
     def __post_init__(self):
-        from ..patterns.sources import PATTERN_NAMES
+        from ..patterns.sources import PATTERN_NAMES, lock_budget_scale
 
         if self.pattern not in PATTERN_NAMES:
             raise KeyError(f"unknown pattern {self.pattern!r}; choices: "
                            f"{', '.join(PATTERN_NAMES)}")
+        #: the stimulus' lock-budget stretch (DESIGN.md section 15)
+        self.budget_scale = lock_budget_scale(self.pattern)
         # the default tier keeps its historical name so records stay
         # byte-identical; parameterised instances carry the registry's
         # "bist@<pattern>" spelling
@@ -139,12 +153,12 @@ class BISTTest:
         return False
 
     def at_speed_detect(self, fault: StructuralFault) -> bool:
-        """The stimulus-dependent at-speed stages only."""
-        if fault.block == "window_comp":
-            return self._window_lock_test(fault)
-        if fault.block == "vcdl":
-            return self._vcdl_lock_test(fault)
-        return self._lock_test(fault)
+        """The stimulus-dependent at-speed stages only (serial: stops at
+        the first startup phase that fails)."""
+        plan = self.lock_runs(fault)
+        if isinstance(plan, bool):
+            return plan
+        return not all(self.lane_passes(lane.run()) for lane in plan)
 
     # ------------------------------------------------------------------
     def detect_batch(self, faults, backend=None) -> Dict:
@@ -153,8 +167,10 @@ class BISTTest:
 
         The netlist stages (receiver checks, VCDL aliveness, VCDL
         characterisation transients) run batched; the behavioural lock
-        runs and the window-threshold bisection are deterministic pure-
-        Python / cache-accelerated serial code and execute unchanged.
+        runs of every fault that reaches them go through one
+        :meth:`at_speed_stage`.  The window-threshold bisection stays
+        serial (through ``measure_cache``); a fault whose bisection
+        raises is omitted.
         """
         from .batch_stages import vcdl_aliveness
         from .duts import ReceiverDUT, VCDLDUT
@@ -162,6 +178,8 @@ class BISTTest:
         out: Dict = {}
         rx = [f for f in faults if f.block in ("window_comp", "cp")]
         vc = [f for f in faults if f.block == "vcdl"]
+        lock_keys: List[Tuple] = []
+        plans: List = []
 
         if rx:
             base = build_receiver_dut()
@@ -182,10 +200,9 @@ class BISTTest:
                     continue
                 if sig != self._golden:
                     out[f.key()] = True
-                elif f.block == "window_comp":
-                    out[f.key()] = self._window_lock_test(f)
                 else:
-                    out[f.key()] = self._lock_test(f)
+                    lock_keys.append(f.key())
+                    plans.append(self._lock_plan(f))
 
         if vc:
             base = build_vcdl_dut()
@@ -211,8 +228,12 @@ class BISTTest:
             delays = self._batched_vcdl_delays(need_lock, backend=backend)
             for f in need_lock:
                 if f in delays:
-                    out[f.key()] = self._vcdl_lock_verdict(*delays[f])
+                    lock_keys.append(f.key())
+                    plans.append(self._vcdl_lock_runs(*delays[f]))
 
+        for key, verdict in zip(lock_keys, self._run_lock_stage(plans)):
+            if not isinstance(verdict, Exception):
+                out[key] = verdict
         return out
 
     # ------------------------------------------------------------------
@@ -225,8 +246,9 @@ class BISTTest:
         cp and window-comparator classes, and across stimulus patterns);
         the follow-on lock run keys on the stimulus pattern plus the
         behavioural knob set for cp faults (the only inputs
-        :meth:`_lock_test` consumes) or the digest for the
-        window-threshold bisection.
+        :meth:`lock_runs` consumes) or the digest for the
+        window-threshold bisection.  Lock runs (and the VCDL classes'
+        runs) go through :meth:`at_speed_stage`.
         """
         from .collapsed import (consume, expand, group_by_signature,
                                 stage_exec)
@@ -261,8 +283,10 @@ class BISTTest:
             lock_need.setdefault(lkey, members[0])
             lock_groups.append((lkey, members))
 
-        fresh = stage_exec(memo, lock_need,
-                           lambda reps: self._run_lock_stage(reps))
+        fresh = stage_exec(
+            memo, lock_need,
+            lambda reps: self._run_lock_stage(
+                [self._lock_plan(f) for f in reps]))
         for lkey, members in lock_groups:
             entry = memo[lkey]
             if isinstance(entry, Exception):
@@ -292,13 +316,13 @@ class BISTTest:
 
         fresh = stage_exec(memo, char_need,
                            lambda reps: self._run_char_stage(reps, backend))
-        for ckey, members in char_groups:
-            entry = memo[ckey]
-            if isinstance(entry, Exception):
-                continue
+        char_groups = [(ckey, members) for ckey, members in char_groups
+                       if not isinstance(memo[ckey], Exception)]
+        verdicts = self._run_lock_stage(
+            [self._vcdl_lock_runs(*memo[ckey]) for ckey, _ in char_groups])
+        for (ckey, members), verdict in zip(char_groups, verdicts):
             consume(fresh, ckey, len(members))
-            expand(resolved, provenance, members,
-                   self._vcdl_lock_verdict(*entry))
+            expand(resolved, provenance, members, verdict)
 
         return resolved, provenance
 
@@ -318,18 +342,10 @@ class BISTTest:
             results[i] = sig
         return results
 
-    def _run_lock_stage(self, reps):
-        """Behavioural lock / window-threshold runs per representative."""
-        out = []
-        for f in reps:
-            try:
-                if f.block == "window_comp":
-                    out.append(self._window_lock_test(f))
-                else:
-                    out.append(self._lock_test(f))
-            except Exception as exc:
-                out.append(exc)
-        return out
+    def _run_lock_stage(self, plans) -> List:
+        """Detected verdicts for this tier's lock *plans* (see
+        :meth:`at_speed_stage`)."""
+        return self.at_speed_stage([(self, plan) for plan in plans])[0]
 
     def _run_char_stage(self, reps, backend):
         """VCDL characterisation delays per representative."""
@@ -558,10 +574,112 @@ class BISTTest:
 
         faulted = self._vcdl_char_circuit(fault, vctl)
         tr = transient(faulted, 1.6e-9, 2e-12, probes=["clk_out"])
+        _release(faulted)
         return self._vcdl_delay_from(tr)
 
-    def _vcdl_lock_test(self, fault: StructuralFault) -> bool:
-        """Lock test with the *measured* faulted VCDL tuning curve.
+    # ------------------------------------------------------------------
+    # at-speed lock stage
+    # ------------------------------------------------------------------
+    def lock_runs(self, fault: StructuralFault
+                  ) -> Union[bool, List[LoopLane]]:
+        """The loop runs of *fault*'s at-speed lock test, or its verdict
+        when no run is needed.
+
+        * charge pump: the fault -> behaviour knob mapping (no knobs:
+          no loop-level consequence, not detected);
+        * window comparator: the *measured* faulted thresholds;
+        * VCDL: the *measured* faulted tuning curve.
+
+        The netlist characterisations go through ``measure_cache`` and
+        may raise.  The runs cover both walk directions (startup phases
+        5 and 6 exercise the high- and low-side coarse corrections, 'from
+        any initial condition', Section III); the VCDL test runs from
+        the worst-case phase only.
+        """
+        if fault.block == "window_comp":
+            return self._window_lock_runs(self._window_thresholds(fault))
+        if fault.block == "vcdl":
+            return self._vcdl_lock_runs(*self._vcdl_delays(fault))
+        knobs = map_fault_to_knobs(fault)
+        if not knobs:
+            return False
+        return self._lanes(LinkParams().with_faults(**knobs))
+
+    def _lock_plan(self, fault: StructuralFault):
+        """:meth:`lock_runs`, with a raised exception as the value."""
+        try:
+            return self.lock_runs(fault)
+        except Exception as exc:  # noqa: BLE001 - the serial path re-raises
+            return exc
+
+    def _lanes(self, params: LinkParams,
+               phases: Sequence[int] = (LOCK_TEST_PHASE,
+                                        LOCK_TEST_PHASE + 1)
+               ) -> List[LoopLane]:
+        """Lock-test runs of *params* under this tier's stimulus.
+
+        The default PRBS7 tier stops at lock.  Non-default stimuli run
+        past lock so post-lock errors can accumulate (``stop_on_lock``
+        exits the very cycle lock is declared), with the cycle count
+        stretched alongside the budget for transition-starved patterns.
+        """
+        if self.pattern == "prbs7":
+            cycles, stop = LOCK_TEST_CYCLES, True
+        else:
+            cycles, stop = int(LOCK_TEST_CYCLES * self.budget_scale), False
+        return [LoopLane(params, self.pattern, phase, cycles, stop)
+                for phase in phases]
+
+    def lane_passes(self, result: LoopResult) -> bool:
+        """The BIST verdict of one lock-test run.
+
+        Lock inside the (stimulus-stretched) budget with corrections
+        within the lock-detector bound.  Non-default stimuli add zero
+        post-lock sampling errors: a stimulus whose whole point is
+        stressing the sampled data (crosstalk aggressor, ISI lone bits)
+        detects through the data path, not just the lock path.
+        """
+        return bist_verdict(result, LOCK_BUDGET * self.budget_scale,
+                            clean_data=self.pattern != "prbs7")
+
+    @staticmethod
+    def at_speed_stage(jobs: Sequence[Tuple["BISTTest", object]],
+                       extra_lanes: Sequence[LoopLane] = ()
+                       ) -> Tuple[List, List[LoopResult]]:
+        """The batched at-speed lock stage.
+
+        *jobs* pairs a tier with a lock plan: a verdict, an exception, or
+        a list of lanes (:meth:`lock_runs`).  Every lane of every job,
+        plus *extra_lanes*, goes into one
+        :class:`~repro.synchronizer.batch.LaneResults`, which simulates
+        equal lanes once and batches them when there are enough; a job
+        whose lanes run scalar stops at its first failing run, as the
+        serial detector does.  Returns the detected verdict (or the
+        plan's verdict / exception) per job, and the results of
+        *extra_lanes*.
+        """
+        lanes = [lane for _, plan in jobs if isinstance(plan, list)
+                 for lane in plan]
+        runs = LaneResults(lanes + list(extra_lanes))
+        verdicts = [
+            not all(tier.lane_passes(runs[lane]) for lane in plan)
+            if isinstance(plan, list) else plan
+            for tier, plan in jobs]
+        return verdicts, [runs[lane] for lane in extra_lanes]
+
+    def _vcdl_delays(self, fault: StructuralFault) -> Tuple[float, float]:
+        """Faulted VCDL delays at the window bounds (memoized)."""
+        ckey = ("vcdl_delays", fault.key())
+        if ckey not in self.measure_cache:
+            p0 = LinkParams()
+            self.measure_cache[ckey] = (
+                self._measure_faulted_vcdl(fault, p0.v_window_lo),
+                self._measure_faulted_vcdl(fault, p0.v_window_hi))
+        return self.measure_cache[ckey]
+
+    def _vcdl_lock_runs(self, d_lo: float, d_hi: float
+                        ) -> Union[bool, List[LoopLane]]:
+        """Lock test with a *measured* faulted VCDL tuning curve.
 
         The faulted delay is characterised at the window bounds on the
         transistor netlist; the behavioural loop then runs with that
@@ -570,107 +688,14 @@ class BISTTest:
         detector overflow; a mild parametric shift locks fine and
         escapes (the Table I open-fault escapes).
         """
-        ckey = ("vcdl_delays", fault.key())
-        if ckey not in self.measure_cache:
-            p0 = LinkParams()
-            self.measure_cache[ckey] = (
-                self._measure_faulted_vcdl(fault, p0.v_window_lo),
-                self._measure_faulted_vcdl(fault, p0.v_window_hi))
-        return self._vcdl_lock_verdict(*self.measure_cache[ckey])
-
-    def _vcdl_lock_verdict(self, d_lo: float, d_hi: float) -> bool:
-        """Behavioural lock run on a measured (d_lo, d_hi) delay pair."""
         import math
 
         if math.isnan(d_lo) or math.isnan(d_hi):
             return True     # clock does not propagate at speed
         p0 = LinkParams()
-        lo_v, hi_v = p0.v_window_lo, p0.v_window_hi
-
-        def faulted_curve(vc: float, _lo=d_lo, _hi=d_hi) -> float:
-            if vc <= lo_v:
-                return _lo
-            if vc >= hi_v:
-                return _hi
-            f = (vc - lo_v) / (hi_v - lo_v)
-            return _lo + f * (_hi - _lo)
-
-        params = LinkParams(initial_phase_index=LOCK_TEST_PHASE,
-                            vcdl_delay=faulted_curve)
-        return not self._loop_passes(params)
-
-    def _build_loop(self, params: LinkParams):
-        """A loop wired for this tier's stimulus, plus its budget scale.
-
-        The default PRBS7 pattern keeps the legacy construction (no
-        source argument at all), so the default tier's runs stay
-        bit-identical to every pre-pattern-engine campaign record.
-        """
-        if self.pattern == "prbs7":
-            return SynchronizerLoop(params=params), 1.0
-        from ..patterns.sources import build_stimulus
-
-        source, aggressor = build_stimulus(self.pattern)
-        scale = float(getattr(source, "lock_budget_scale", 1.0))
-        return SynchronizerLoop(params=params, source=source,
-                                aggressor=aggressor), scale
-
-    def _pattern_verdict(self, result, params: LinkParams,
-                         scale: float) -> bool:
-        """Strict at-speed pass for a non-default stimulus.
-
-        The legacy ``bist_pass`` criteria (lock inside the — here
-        stretched — budget, corrections within the lock-detector
-        bound), plus zero post-lock sampling errors: a stimulus whose
-        whole point is stressing the sampled data (crosstalk aggressor,
-        ISI lone bits) detects through the data path, not just the
-        lock path.
-        """
-        return (result.locked
-                and result.lock_time is not None
-                and result.lock_time <= LOCK_BUDGET * scale
-                and result.coarse_corrections <= params.n_phases // 2
-                and result.errors_after_lock == 0)
-
-    def _loop_passes(self, params: LinkParams) -> bool:
-        """One at-speed run under this tier's stimulus."""
-        loop, scale = self._build_loop(params)
-        if self.pattern == "prbs7":
-            result = loop.run(max_cycles=LOCK_TEST_CYCLES,
-                              stop_on_lock=True)
-            return result.bist_pass
-        # non-default stimuli run past lock so post-lock errors can
-        # accumulate (stop_on_lock exits the very cycle lock is
-        # declared), with the cycle count stretched alongside the
-        # budget for transition-starved patterns
-        result = loop.run(max_cycles=int(LOCK_TEST_CYCLES * scale),
-                          stop_on_lock=False)
-        return self._pattern_verdict(result, params, scale)
-
-    def _run_loop(self, params: LinkParams) -> bool:
-        """True when the loop passes the BIST verdict from both walk
-        directions (startup phases 5 and 6 exercise the high- and
-        low-side coarse corrections respectively -- 'from any initial
-        condition', Section III)."""
-        from dataclasses import replace
-
-        for phase in (LOCK_TEST_PHASE, LOCK_TEST_PHASE + 1):
-            p = replace(params, initial_phase_index=phase)
-            if not self._loop_passes(p):
-                return False
-        return True
-
-    def _lock_test(self, fault: StructuralFault) -> bool:
-        """At-speed lock test via the fault -> behaviour mapping.
-
-        Returns True (detected) when the mapped loop fails the BIST
-        verdict; faults with no loop-level consequence return False.
-        """
-        knobs = map_fault_to_knobs(fault)
-        if not knobs:
-            return False
-        params = LinkParams().with_faults(**knobs)
-        return not self._run_loop(params)
+        curve = KnotCurve(((p0.v_window_lo, d_lo), (p0.v_window_hi, d_hi)))
+        return self._lanes(LinkParams(vcdl_delay=curve),
+                           phases=(LOCK_TEST_PHASE,))
 
     def _measure_window_thresholds(self,
                                    fault: Optional[StructuralFault]):
@@ -722,9 +747,18 @@ class BISTTest:
 
         th_lo = bisect("lo", 0.02, 0.6)
         th_hi = bisect("hi", 0.6, 1.18)
+        _release(dut.circuit)
         return th_lo, th_hi
 
-    def _window_lock_test(self, fault: StructuralFault) -> bool:
+    def _window_thresholds(self, fault: StructuralFault):
+        """Measured faulted window thresholds (memoized)."""
+        ckey = ("win_thresholds", fault.key())
+        if ckey not in self.measure_cache:
+            self.measure_cache[ckey] = \
+                self._measure_window_thresholds(fault)
+        return self.measure_cache[ckey]
+
+    def _window_lock_runs(self, th) -> Union[bool, List[LoopLane]]:
         """Lock test with the *measured* faulted window thresholds.
 
         The scan conditions exercise the comparator at +-0.6 V inputs; a
@@ -734,11 +768,6 @@ class BISTTest:
         then fails to fire (or fires constantly), which the lock
         detector observes.
         """
-        ckey = ("win_thresholds", fault.key())
-        if ckey not in self.measure_cache:
-            self.measure_cache[ckey] = \
-                self._measure_window_thresholds(fault)
-        th = self.measure_cache[ckey]
         if th == "nonconv" or "nonconv" in th:
             return True
         th_lo, th_hi = th
@@ -751,5 +780,4 @@ class BISTTest:
             knobs["window_hi_stuck"] = 0
         else:
             knobs["v_window_hi"] = th_hi
-        params = LinkParams().with_faults(**knobs)
-        return not self._run_loop(params)
+        return self._lanes(LinkParams().with_faults(**knobs))

@@ -212,6 +212,8 @@ class FaultCampaign:
         # (tier name, fault.key()) -> representative fault.key(), filled
         # by the collapse prepass for non-representative members
         self._collapsed_from: Dict[Tuple[str, Tuple], Tuple] = {}
+        self._prepasses: List[Callable[[Sequence[StructuralFault]],
+                                       Mapping[Tuple[str, Tuple], bool]]] = []
 
     @property
     def tier_names(self) -> Tuple[str, ...]:
@@ -243,6 +245,15 @@ class FaultCampaign:
         if not isinstance(tier, str):
             self._tier_objects[name] = tier
         self._tiers.append((name, detector, applies or (lambda f: True)))
+
+    def add_prepass(self, prepass: Callable[[Sequence[StructuralFault]],
+                                            Mapping[Tuple[str, Tuple],
+                                                    bool]]) -> None:
+        """Register a verdict prepass: called with the pending faults
+        before workers fork, it returns ``{(tier name, fault.key()):
+        detected}`` for the verdicts it resolved; :meth:`evaluate` then
+        skips those detectors.  Omitted pairs evaluate serially."""
+        self._prepasses.append(prepass)
 
     def evaluate(self, fault: StructuralFault) -> DetectionRecord:
         """Run every applicable tier on one fault.
@@ -372,8 +383,9 @@ class FaultCampaign:
 
         The collapse prepass (when enabled) runs first and resolves
         whole equivalence classes from one representative each; the
-        batched detect_batch prepass then covers only the still-
-        unresolved faults.  Runs before workers fork, so the verdict
+        registered :meth:`add_prepass` hooks come next, and the batched
+        detect_batch prepass then covers only the still-unresolved
+        faults.  Runs before workers fork, so the verdict
         map is inherited by every worker.  A ``None`` or serial backend
         skips the batched prepass (the historical bit-exact path); a
         tier whose prepass raises is skipped wholesale — its faults all
@@ -383,6 +395,14 @@ class FaultCampaign:
         self._collapsed_from.clear()
         if self.collapse != "off":
             self._precompute_collapsed(pending, backend)
+        with numerics_policy(strict=self.strict_numerics):
+            for prepass in self._prepasses:
+                try:
+                    resolved = prepass(pending)
+                except Exception:  # noqa: BLE001 - serial path covers it
+                    continue
+                for key, hit in resolved.items():
+                    self._precomputed.setdefault(key, bool(hit))
         if backend is None:
             return
         from ..analog.backend import resolve_backend

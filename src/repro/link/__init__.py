@@ -10,6 +10,7 @@ from .lock_detector import LockDetector, build_lock_detector
 from .params import (
     BIT_TIME,
     DATA_RATE,
+    KnotCurve,
     LinkParams,
     N_DLL_PHASES,
     VDD,
@@ -30,7 +31,8 @@ __all__ = [
     "Divider",
     "DLL",
     "LockDetector", "build_lock_detector",
-    "BIT_TIME", "DATA_RATE", "LinkParams", "N_DLL_PHASES", "VDD",
+    "BIT_TIME", "DATA_RATE", "KnotCurve", "LinkParams", "N_DLL_PHASES",
+    "VDD",
     "default_vcdl_delay",
     "PRBS", "transition_density",
     "RingCounterBeh", "build_ring_counter",

@@ -22,6 +22,10 @@ from typing import Optional, Tuple
 
 from .params import LinkParams
 
+#: seed of every PD's sampling-jitter generator: each loop run draws the
+#: same jitter sequence
+JITTER_SEED = 20160314
+
 
 def wrap_phase(e: float, bit_time: float) -> float:
     """Wrap a phase difference into (-bit_time/2, +bit_time/2]."""
@@ -39,7 +43,7 @@ class AlexanderPD:
 
     def __post_init__(self):
         if self.rng is None:
-            self.rng = random.Random(20160314)
+            self.rng = random.Random(JITTER_SEED)
         self._prev_bit: Optional[int] = None
 
     def reset(self) -> None:

@@ -14,7 +14,7 @@ in :mod:`repro.faults.behavior_map`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 #: paper operating point
 DATA_RATE = 2.5e9
@@ -39,21 +39,47 @@ VCDL_KNOTS = ((0.45, 240e-12), (0.60, 196e-12), (0.75, 182e-12),
               (0.90, 176e-12))
 
 
-def default_vcdl_delay(vc: float) -> float:
-    """Piecewise-linear interpolation of the measured VCDL curve.
+@dataclass(frozen=True)
+class KnotCurve:
+    """Piecewise-linear curve through ``(v, d)`` knots, clamped at the ends.
 
-    Clamped at the knot ends; monotonically decreasing in ``vc``.
+    The one representation of a VCDL tuning curve: the measured default
+    (:data:`default_vcdl_delay`) and the faulted two-knot curves the BIST
+    tier characterises on the netlist.  Evaluation clamps at the end
+    knots and otherwise interpolates ``d0 + f * (d1 - d0)`` on the *first*
+    segment ``v0 <= vc <= v1`` that matches, so a value on an interior
+    knot resolves through the segment below it.  Knot voltages must be
+    strictly increasing.  The lockstep loop (:mod:`repro.synchronizer.
+    batch`) evaluates the same arithmetic per lane; a lane whose curve is
+    any other callable runs on the scalar loop.
     """
-    knots = VCDL_KNOTS
-    if vc <= knots[0][0]:
-        return knots[0][1]
-    if vc >= knots[-1][0]:
-        return knots[-1][1]
-    for (v0, d0), (v1, d1) in zip(knots, knots[1:]):
-        if v0 <= vc <= v1:
-            f = (vc - v0) / (v1 - v0)
-            return d0 + f * (d1 - d0)
-    return knots[-1][1]  # pragma: no cover - unreachable
+
+    knots: Tuple[Tuple[float, float], ...]
+
+    def __post_init__(self):
+        knots = tuple((float(v), float(d)) for v, d in self.knots)
+        if len(knots) < 2:
+            raise ValueError("a knot curve needs at least two knots")
+        if any(v1 <= v0 for (v0, _), (v1, _) in zip(knots, knots[1:])):
+            raise ValueError("knot voltages must be strictly increasing")
+        object.__setattr__(self, "knots", knots)
+
+    def __call__(self, vc: float) -> float:
+        knots = self.knots
+        if vc <= knots[0][0]:
+            return knots[0][1]
+        if vc >= knots[-1][0]:
+            return knots[-1][1]
+        for (v0, d0), (v1, d1) in zip(knots, knots[1:]):
+            if v0 <= vc <= v1:
+                f = (vc - v0) / (v1 - v0)
+                return d0 + f * (d1 - d0)
+        return knots[-1][1]  # pragma: no cover - unreachable
+
+
+#: piecewise-linear interpolation of the measured VCDL curve: clamped at
+#: the knot ends, monotonically decreasing in ``vc``
+default_vcdl_delay = KnotCurve(VCDL_KNOTS)
 
 
 @dataclass

@@ -8,11 +8,15 @@ registered pattern classes and scored per class.
 Shape: one :class:`~repro.faults.campaign.FaultCampaign` carries a
 single pattern-independent ``static`` tier (receiver checks + VCDL
 aliveness, run once per fault) plus one ``at_speed@<pattern>`` tier
-per stimulus, each a thin closure over a shared-golden
-:class:`~repro.dft.bist.BISTTest` instance.  Campaign records are
-assembled in universe order by the supervised runner, so the exported
-JSON is byte-identical across ``--workers`` counts — the pattern-parity
-CI smoke pins that.
+per stimulus, each a shared-golden :class:`~repro.dft.bist.BISTTest`
+instance's ``at_speed_detect``.  Before workers fork, a prepass runs
+every pending fault's lock runs under every stimulus -- plus the
+healthy-die lock-summary runs -- as one batched at-speed stage
+(:meth:`~repro.dft.bist.BISTTest.at_speed_stage`, which simulates
+equal runs once) and hands the campaign its verdicts.  Campaign
+records are assembled in universe order by the supervised runner, so
+the exported JSON is byte-identical across ``--workers`` counts — the
+pattern-parity CI smoke pins that.
 
 The BER sweep runs the healthy behavioural loop under each stimulus
 with a :class:`~repro.patterns.checker.PatternChecker` attached and
@@ -32,10 +36,11 @@ from ..dft.golden import GoldenSignatures
 from ..faults.campaign import CampaignResult, FaultCampaign
 from ..faults.model import StructuralFault
 from ..link.params import LinkParams
-from ..synchronizer.loop import SynchronizerLoop
+from ..synchronizer.batch import LoopLane, run_lanes
+from ..synchronizer.loop import LoopResult, SynchronizerLoop
 from . import sources as _sources
 from .checker import PatternChecker
-from .sources import PATTERN_NAMES, build_stimulus
+from .sources import PATTERN_NAMES, lock_budget_scale
 
 #: default stimulus sweep: one member of each pattern class (PRBS,
 #: scrambler, ISI template, crosstalk aggressor) plus a longer PRBS
@@ -64,50 +69,32 @@ def bist_universe() -> List[StructuralFault]:
             if f.block in ("cp", "window_comp", "vcdl")]
 
 
-class _AtSpeedDetector:
-    """Memoized at-speed stage closure for one stimulus.
-
-    Charge-pump faults reach the behavioural loop only through their
-    knob set, so equal knob sets share one verdict (the same
-    equivalence :meth:`BISTTest.detect_collapsed` exploits); window and
-    VCDL faults still share the netlist characterisations through the
-    tier's ``measure_cache``.  Verdicts are deterministic, so the memo
-    never changes a record — it only removes repeat simulation.
-    """
-
-    def __init__(self, tier: BISTTest):
-        self.tier = tier
-        self.memo: Dict = {}
-
-    def __call__(self, fault: StructuralFault) -> bool:
-        key = None
-        if fault.block == "cp":
-            from ..faults.behavior_map import map_fault_to_knobs
-            from ..faults.collapse import canon_knobs
-
-            key = ("cp", canon_knobs(map_fault_to_knobs(fault)))
-        if key is None:
-            return self.tier.at_speed_detect(fault)
-        if key not in self.memo:
-            self.memo[key] = self.tier.at_speed_detect(fault)
-        return self.memo[key]
+def healthy_lock_lanes(pattern: str) -> List[LoopLane]:
+    """The healthy-die runs behind :func:`healthy_lock_summary`: both
+    worst-case startup phases, run past lock for the stretched test
+    length."""
+    cycles = int(LOCK_TEST_CYCLES * lock_budget_scale(pattern))
+    return [LoopLane(LinkParams(), pattern, phase, cycles)
+            for phase in (LOCK_TEST_PHASE, LOCK_TEST_PHASE + 1)]
 
 
-def healthy_lock_summary(pattern: str) -> Dict[str, object]:
+def healthy_lock_summary(pattern: str,
+                         results: Optional[Sequence[LoopResult]] = None
+                         ) -> Dict[str, object]:
     """Healthy-die lock behaviour under *pattern* from both worst-case
-    startup phases, against the stimulus-scaled 2 us budget."""
-    probe, _ = build_stimulus(pattern)
-    scale = float(getattr(probe, "lock_budget_scale", 1.0))
+    startup phases, against the stimulus-scaled 2 us budget.
+
+    *results* are the runs of :func:`healthy_lock_lanes` when a batched
+    stage already simulated them.
+    """
+    scale = lock_budget_scale(pattern)
     budget = LOCK_BUDGET * scale
+    lanes = healthy_lock_lanes(pattern)
+    if results is None:
+        results = run_lanes(lanes)
     phases: Dict[str, Dict[str, object]] = {}
-    for phase in (LOCK_TEST_PHASE, LOCK_TEST_PHASE + 1):
-        source, aggressor = build_stimulus(pattern)
-        params = LinkParams(initial_phase_index=phase)
-        loop = SynchronizerLoop(params=params, source=source,
-                                aggressor=aggressor)
-        result = loop.run(max_cycles=int(LOCK_TEST_CYCLES * scale),
-                          stop_on_lock=False)
-        phases[str(phase)] = {
+    for lane, result in zip(lanes, results):
+        phases[str(lane.phase)] = {
             "locked": bool(result.locked),
             "lock_time_s": result.lock_time,
             "within_budget": bool(result.locked
@@ -241,19 +228,52 @@ class PatternCampaign:
             p: BISTTest(goldens, pattern=p, measure_cache=shared_cache)
             for p in self.patterns}
 
-    def build(self) -> FaultCampaign:
+    def build(self, lock_summary: Optional[Dict[str, Dict]] = None
+              ) -> FaultCampaign:
         """The underlying fault campaign: static tier + one at-speed
         tier per stimulus (legacy closure form — forked workers inherit
-        the shared goldens without re-solving)."""
+        the shared goldens without re-solving), with the batched
+        at-speed prepass.  When *lock_summary* is a dict the prepass
+        also fills it with every pattern's :func:`healthy_lock_summary`.
+        """
         campaign = FaultCampaign()
         first = self.tiers[self.patterns[0]]
         campaign.add_tier(STATIC_TIER, first.static_detect,
                           first.applies_to)
         for p in self.patterns:
             tier = self.tiers[p]
-            campaign.add_tier(at_speed_tier(p), _AtSpeedDetector(tier),
+            campaign.add_tier(at_speed_tier(p), tier.at_speed_detect,
                               tier.applies_to)
+        campaign.add_prepass(
+            lambda pending: self._at_speed_prepass(pending, lock_summary))
         return campaign
+
+    def _at_speed_prepass(self, pending: Sequence[StructuralFault],
+                          lock_summary: Optional[Dict[str, Dict]]
+                          ) -> Dict[Tuple[str, Tuple], bool]:
+        """Verdicts of every pending fault's at-speed tiers, all lock
+        runs batched.  A fault whose netlist characterisation raises is
+        left out: its serial detector reproduces the error record."""
+        jobs, keys = [], []
+        for fault in pending:
+            for p, tier in self.tiers.items():
+                if not tier.applies_to(fault):
+                    continue
+                try:
+                    plan = tier.lock_runs(fault)
+                except Exception:  # noqa: BLE001 - serial path re-raises
+                    continue
+                jobs.append((tier, plan))
+                keys.append((at_speed_tier(p), fault.key()))
+        summary = ({p: healthy_lock_lanes(p) for p in self.patterns}
+                   if lock_summary is not None else {})
+        verdicts, results = BISTTest.at_speed_stage(
+            jobs, [lane for lanes in summary.values() for lane in lanes])
+        runs = iter(results)
+        for p, lanes in summary.items():
+            lock_summary[p] = healthy_lock_summary(
+                p, [next(runs) for _ in lanes])
+        return dict(zip(keys, verdicts))
 
     def run(self, universe: Optional[Sequence[StructuralFault]] = None,
             workers: Optional[int] = None,
@@ -266,11 +286,13 @@ class PatternCampaign:
         if universe is None:
             universe = bist_universe()
         universe = sampled_universe(universe, sample)
-        campaign = self.build()
+        lock: Dict[str, Dict] = {}
+        campaign = self.build(lock_summary=lock)
         result = campaign.run(universe, workers=workers,
                               checkpoint=checkpoint, timeout=timeout,
                               progress=progress)
-        lock = {p: healthy_lock_summary(p) for p in self.patterns}
+        lock = {p: lock[p] if p in lock else healthy_lock_summary(p)
+                for p in self.patterns}
         return PatternCampaignResult(result=result,
                                      patterns=self.patterns,
                                      lock_summary=lock)

@@ -249,11 +249,17 @@ class CrosstalkAggressor:
 
     def penalty(self, params) -> float:
         """Margin loss [s] for the current bit period."""
+        return self.edge_penalty(params) if self.toggle() else 0.0
+
+    def toggle(self) -> bool:
+        """Advance the aggressor lane one bit; True on a transition."""
         bit = self.pattern.next_bit()
         toggled = bit != self._last
         self._last = bit
-        if not toggled:
-            return 0.0
+        return toggled
+
+    def edge_penalty(self, params) -> float:
+        """Margin loss [s] of a bit period with an aggressor edge."""
         shift = self.lanes.victim_timing_shift(
             self.swing, params.eye_amplitude, params.eye_half_width)
         return shift + JITTER_CREST * params.sampling_jitter_rms
@@ -338,3 +344,9 @@ def build_stimulus(name: str):
     """``(source, aggressor-or-None)`` for the synchronizer loop."""
     source = create_source(name)
     return source, getattr(source, "aggressor", None)
+
+
+def lock_budget_scale(name: str) -> float:
+    """Lock-budget (and lock-test length) stretch of the named stimulus:
+    its source's ``lock_budget_scale``, 1.0 when it has none."""
+    return float(getattr(create_source(name), "lock_budget_scale", 1.0))

@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..link.params import LinkParams
-from .loop import LoopResult, SynchronizerLoop
+from .loop import LOCK_BUDGET_S, LoopResult, SynchronizerLoop, bist_verdict
 
-#: the paper's lock budget
-LOCK_BUDGET_S = 2e-6
+__all__ = ["LOCK_BUDGET_S", "LockSweepResult", "bist_verdict",
+           "coarse_correction_bound", "lock_sweep"]
 
 
 @dataclass
@@ -64,8 +64,3 @@ def coarse_correction_bound(params: Optional[LinkParams] = None) -> int:
     """Theoretical maximum coarse corrections: half the DLL phases."""
     p = params or LinkParams()
     return p.n_phases // 2
-
-
-def bist_verdict(result: LoopResult) -> bool:
-    """The paper's BIST pass rule applied to a loop run."""
-    return result.bist_pass

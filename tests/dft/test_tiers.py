@@ -142,3 +142,35 @@ class TestBISTTier:
         f = F("cp_wk_MSWU", FaultKind.DRAIN_OPEN, "cp", "cp_weak_sw")
         assert scan.detect(f)
         assert bist.detect(f)
+
+
+class TestAtSpeedStage:
+    def test_scalar_job_stops_at_its_first_failing_run(self, bist):
+        """Below the batch threshold the stage runs each job's lanes on
+        the scalar loop and, like the serial detector, skips phase 6
+        once phase 5 fails."""
+        from repro.core.profiling import COUNTERS
+        from repro.link import LinkParams
+        from repro.synchronizer.batch import LoopLane
+
+        dead = [LoopLane(LinkParams(pd_stuck="quiet"), "prbs7", phase,
+                         7000, True) for phase in (5, 6)]
+        before = COUNTERS.loop_scalar_runs
+        verdicts, _ = bist.at_speed_stage([(bist, dead), (bist, True)])
+        assert verdicts == [True, True]
+        assert COUNTERS.loop_scalar_runs - before == 1
+
+    @pytest.mark.parametrize("threshold", [1, 10 ** 9])
+    def test_stage_matches_serial_detector(self, bist, threshold,
+                                           monkeypatch):
+        """Batched or scalar, the stage's verdicts are the serial ones."""
+        from repro.synchronizer import batch
+
+        monkeypatch.setattr(batch, "BATCH_MIN_LANES", threshold)
+        faults = [F("cp_MBALN", FaultKind.SOURCE_OPEN, "cp", "cp_balance"),
+                  F("cp_wk_MSWU", FaultKind.DRAIN_OPEN, "cp", "cp_weak_sw"),
+                  F("cp_amp_MT", FaultKind.DRAIN_OPEN, "cp", "cp_amp"),
+                  F("vcdl_MN0", FaultKind.DRAIN_OPEN, "vcdl", "vcdl_stage")]
+        jobs = [(bist, bist.lock_runs(f)) for f in faults]
+        verdicts, _ = bist.at_speed_stage(jobs)
+        assert verdicts == [bist.at_speed_detect(f) for f in faults]
